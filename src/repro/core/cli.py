@@ -36,6 +36,8 @@ Sub-commands:
   dead leader's durable log), rejoin it, and re-validate; strong and
   read_your_writes must balance the economy, bounded_staleness reports
   its expected leak.
+* ``replicated-cluster`` — ``cluster`` with every shard a replica set:
+  kill one shard's leader mid-run, fail over, rejoin, and re-validate.
 * ``exp`` — declarative experiments: ``exp run`` executes a spec
   (built-in name or JSON/TOML file) N times and aggregates every metric
   into mean / stddev / 95 % confidence intervals (the extended
@@ -94,6 +96,184 @@ _EXPORTERS = {
     "jsonl": JsonLinesExporter,
     "csv": CsvExporter,
 }
+
+
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
+def _property_pair(value: str) -> tuple[str, str]:
+    key, separator, rest = value.partition("=")
+    if not separator:
+        raise argparse.ArgumentTypeError(
+            f"bad -p argument {value!r}: expected KEY=VALUE"
+        )
+    return key.strip(), rest.strip()
+
+
+def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return names, kwargs
+
+
+def _campaign_table() -> dict[str, tuple[str, int, list]]:
+    """The campaign verbs: help, default seed count, and their own flags.
+
+    Every flag's ``dest`` names the sweep option it feeds: a grid axis or
+    a run option of the verb's scenario in :mod:`repro.campaign`.
+    """
+    from ..campaign import (
+        CLUSTER_BINDINGS,
+        CRASH_BINDINGS,
+        CRASH_SCHEDULES,
+        FAULT_SCHEDULES,
+        REPLICATION_LEVELS,
+        SIM_BINDINGS,
+    )
+
+    def db(choices, default):
+        return _flag(
+            "--db", dest="bindings", action="append", choices=choices,
+            help=f"binding to sweep (repeatable) [{default}]",
+        )
+
+    def shards(default):
+        return _flag(
+            "--shards", dest="shard_counts", action="append", type=_positive_int,
+            metavar="N", help=f"shard count to sweep (repeatable) [{default}]",
+        )
+
+    def followers(what):
+        return _flag(
+            "--followers", dest="follower_count", type=_positive_int, default=2,
+            metavar="FOLLOWERS", help=f"{what} [2]",
+        )
+
+    def no_kill(survivor):
+        return _flag(
+            "--no-kill", dest="kill", action="store_false",
+            help=f"run fault-free ({survivor})",
+        )
+
+    overrides = _flag(
+        "-p", "--property", dest="properties", action="append", default=[],
+        type=_property_pair, metavar="KEY=VALUE",
+        help="workload property override (repeatable)",
+    )
+    no_trace = _flag(
+        "--no-trace", dest="trace", action="store_false",
+        help="skip operation-interleaving capture (faster, artifacts carry no trace)",
+    )
+    return {
+        "sim": (
+            "seed-sweep campaign in virtual time: hunt for consistency "
+            "violations and emit replayable traces",
+            20,
+            [
+                db(SIM_BINDINGS, "both"),
+                _flag(
+                    "--schedule", dest="schedules", action="append",
+                    choices=sorted(FAULT_SCHEDULES),
+                    help="fault schedule to sweep (repeatable) [baseline]",
+                ),
+                overrides,
+                no_trace,
+            ],
+        ),
+        "synth": (
+            "statistical workload-synthesis campaign: compile declarative "
+            "scenarios (diurnal curves, flash crowds, drifting hot sets, "
+            "multi-tenant mixes) into deterministic virtual-time runs",
+            5,
+            [
+                _flag(
+                    "--scenario", dest="scenarios", action="append", metavar="NAME",
+                    help="built-in scenario to sweep (repeatable) [steady]; "
+                    "see 'ycsbt synth --list'",
+                ),
+                _flag(
+                    "--spec", dest="scenarios", action="append", metavar="FILE",
+                    help="synth spec file (.json/.toml) to sweep (repeatable)",
+                ),
+                db(("raw", "txn"), "each spec's own"),
+                _flag(
+                    "--duration", type=float, metavar="SECONDS",
+                    help="override every spec's simulated duration",
+                ),
+                _flag(
+                    "--list", action="store_true", help="list built-in scenarios and exit"
+                ),
+            ],
+        ),
+        "crash": (
+            "crash-recovery campaign: kill clients at scheduled "
+            "crashpoints, scavenge, re-validate the CEW invariants",
+            10,
+            [
+                db(CRASH_BINDINGS, "raw and txn"),
+                _flag(
+                    "--schedule", dest="schedules", action="append",
+                    choices=sorted(CRASH_SCHEDULES) + ["seeded"],
+                    help="crash schedule to sweep (repeatable; 'seeded' derives "
+                    "one from each seed) [prewrite, primary-commit, "
+                    "mid-secondary, worker-kill]",
+                ),
+                overrides,
+                no_trace,
+            ],
+        ),
+        "cluster": (
+            "multi-shard cluster campaign: run CEW over N HTTP shards "
+            "with cross-shard 2PC, kill one shard mid-run, recover "
+            "(WAL replay + scavenge), re-validate",
+            3,
+            [
+                shards(4),
+                db(CLUSTER_BINDINGS, "raw and txn"),
+                no_kill("no shard is killed mid-run"),
+                overrides,
+            ],
+        ),
+        "replication": (
+            "leader-follower replication campaign: run CEW through the "
+            "routed store at one or more consistency levels, kill the "
+            "leader mid-run, fail over on the lease, rejoin, re-validate",
+            3,
+            [
+                _flag(
+                    "--level", dest="levels", action="append",
+                    choices=REPLICATION_LEVELS,
+                    help="consistency level to sweep (repeatable) [all three]",
+                ),
+                followers("follower count"),
+                no_kill("the leader survives the whole run"),
+                overrides,
+            ],
+        ),
+        "replicated-cluster": (
+            "replicated shard cluster campaign: every shard a replica set "
+            "of HTTP nodes with durable follower logs, kill one shard's "
+            "leader mid-run, fail over on the lease, rejoin, replay the "
+            "coordinator WAL through the new leader, re-validate",
+            3,
+            [
+                shards(2),
+                followers("followers per shard"),
+                _flag(
+                    "--level", default="strong",
+                    choices=(
+                        "strong", "quorum", "read_your_writes", "bounded_staleness"
+                    ),
+                    help="read consistency for the raw binding's routed store [strong]",
+                ),
+                db(CLUSTER_BINDINGS, "raw and txn"),
+                no_kill("every shard leader survives the whole run"),
+                overrides,
+            ],
+        ),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,303 +381,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--full", action="store_true", help="longer, lower-noise runs"
     )
 
-    from ..sim.campaign import FAULT_SCHEDULES, SIM_BINDINGS
-
-    sim = commands.add_parser(
-        "sim",
-        help="seed-sweep campaign in virtual time: hunt for consistency "
-        "violations and emit replayable traces",
-    )
-    sim.add_argument(
-        "--seeds", type=int, default=20, help="number of seeds to sweep [20]"
-    )
-    sim.add_argument(
-        "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
-    )
-    sim.add_argument(
-        "--db",
-        action="append",
-        choices=SIM_BINDINGS,
-        default=None,
-        help="binding to sweep (repeatable) [both]",
-    )
-    sim.add_argument(
-        "--schedule",
-        action="append",
-        choices=sorted(FAULT_SCHEDULES),
-        default=None,
-        help="fault schedule to sweep (repeatable) [baseline]",
-    )
-    sim.add_argument(
-        "-p",
-        "--property",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="workload property override (repeatable)",
-    )
-    sim.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for violation trace artifacts (none written without it)",
-    )
-    sim.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="skip operation-interleaving capture (faster, artifacts carry "
-        "no trace)",
-    )
-
-    synth = commands.add_parser(
-        "synth",
-        help="statistical workload-synthesis campaign: compile declarative "
-        "scenarios (diurnal curves, flash crowds, drifting hot sets, "
-        "multi-tenant mixes) into deterministic virtual-time runs",
-    )
-    synth.add_argument(
-        "--seeds", type=int, default=5, help="number of seeds to sweep [5]"
-    )
-    synth.add_argument(
-        "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
-    )
-    synth.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="built-in scenario to sweep (repeatable) [steady]; "
-        "see 'ycsbt synth --list'",
-    )
-    synth.add_argument(
-        "--spec",
-        action="append",
-        default=None,
-        metavar="FILE",
-        help="synth spec file (.json/.toml) to sweep (repeatable)",
-    )
-    synth.add_argument(
-        "--db",
-        action="append",
-        choices=("raw", "txn"),
-        default=None,
-        help="binding to sweep (repeatable) [each spec's own]",
-    )
-    synth.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="override every spec's simulated duration",
-    )
-    synth.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for violation trace artifacts (none written without it)",
-    )
-    synth.add_argument(
-        "--list", action="store_true", help="list built-in scenarios and exit"
-    )
-
-    from ..recovery.campaign import CRASH_BINDINGS, CRASH_SCHEDULES
-
-    crash = commands.add_parser(
-        "crash",
-        help="crash-recovery campaign: kill clients at scheduled "
-        "crashpoints, scavenge, re-validate the CEW invariants",
-    )
-    crash.add_argument(
-        "--seeds", type=int, default=10, help="number of seeds to sweep [10]"
-    )
-    crash.add_argument(
-        "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
-    )
-    crash.add_argument(
-        "--db",
-        action="append",
-        choices=CRASH_BINDINGS,
-        default=None,
-        help="binding to sweep (repeatable) [raw and txn]",
-    )
-    crash.add_argument(
-        "--schedule",
-        action="append",
-        choices=sorted(CRASH_SCHEDULES) + ["seeded"],
-        default=None,
-        help="crash schedule to sweep (repeatable; 'seeded' derives one "
-        "from each seed) [prewrite, primary-commit, mid-secondary, worker-kill]",
-    )
-    crash.add_argument(
-        "-p",
-        "--property",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="workload property override (repeatable)",
-    )
-    crash.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for violation trace artifacts (none written without it)",
-    )
-    crash.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="skip operation-interleaving capture (faster, artifacts carry "
-        "no trace)",
-    )
-
-    from ..cluster.campaign import CLUSTER_BINDINGS
-
-    cluster = commands.add_parser(
-        "cluster",
-        help="multi-shard cluster campaign: run CEW over N HTTP shards "
-        "with cross-shard 2PC, kill one shard mid-run, recover "
-        "(WAL replay + scavenge), re-validate",
-    )
-    cluster.add_argument(
-        "--shards",
-        action="append",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count to sweep (repeatable) [4]",
-    )
-    cluster.add_argument(
-        "--seeds", type=int, default=3, help="number of seeds to sweep [3]"
-    )
-    cluster.add_argument(
-        "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
-    )
-    cluster.add_argument(
-        "--db",
-        action="append",
-        choices=CLUSTER_BINDINGS,
-        default=None,
-        help="binding to sweep (repeatable) [raw and txn]",
-    )
-    cluster.add_argument(
-        "--no-kill",
-        action="store_true",
-        help="run fault-free (no shard is killed mid-run)",
-    )
-    cluster.add_argument(
-        "-p",
-        "--property",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="workload property override (repeatable)",
-    )
-    cluster.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for violation artifacts (none written without it)",
-    )
-
-    from ..replication.campaign import REPLICATION_LEVELS
-
-    replication = commands.add_parser(
-        "replication",
-        help="leader-follower replication campaign: run CEW through the "
-        "routed store at one or more consistency levels, kill the "
-        "leader mid-run, fail over on the lease, rejoin, re-validate",
-    )
-    replication.add_argument(
-        "--level",
-        action="append",
-        choices=REPLICATION_LEVELS,
-        default=None,
-        help="consistency level to sweep (repeatable) [all three]",
-    )
-    replication.add_argument(
-        "--followers", type=int, default=2, help="follower count [2]"
-    )
-    replication.add_argument(
-        "--seeds", type=int, default=3, help="number of seeds to sweep [3]"
-    )
-    replication.add_argument(
-        "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
-    )
-    replication.add_argument(
-        "--no-kill",
-        action="store_true",
-        help="run fault-free (the leader survives the whole run)",
-    )
-    replication.add_argument(
-        "-p",
-        "--property",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="workload property override (repeatable)",
-    )
-    replication.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for violation artifacts (none written without it)",
-    )
-
-    replicated = commands.add_parser(
-        "replicated-cluster",
-        help="replicated shard cluster campaign: every shard a replica set "
-        "of HTTP nodes with durable follower logs, kill one shard's "
-        "leader mid-run, fail over on the lease, rejoin, replay the "
-        "coordinator WAL through the new leader, re-validate",
-    )
-    replicated.add_argument(
-        "--shards",
-        action="append",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count to sweep (repeatable) [2]",
-    )
-    replicated.add_argument(
-        "--followers", type=int, default=2, help="followers per shard [2]"
-    )
-    replicated.add_argument(
-        "--level",
-        choices=("strong", "quorum", "read_your_writes", "bounded_staleness"),
-        default="strong",
-        help="read consistency for the raw binding's routed store [strong]",
-    )
-    replicated.add_argument(
-        "--seeds", type=int, default=3, help="number of seeds to sweep [3]"
-    )
-    replicated.add_argument(
-        "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
-    )
-    replicated.add_argument(
-        "--db",
-        action="append",
-        choices=CLUSTER_BINDINGS,
-        default=None,
-        help="binding to sweep (repeatable) [raw and txn]",
-    )
-    replicated.add_argument(
-        "--no-kill",
-        action="store_true",
-        help="run fault-free (every shard leader survives the whole run)",
-    )
-    replicated.add_argument(
-        "-p",
-        "--property",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="workload property override (repeatable)",
-    )
-    replicated.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for violation artifacts (none written without it)",
-    )
+    for verb, (help_text, seeds, flags) in _campaign_table().items():
+        campaign = commands.add_parser(verb, help=help_text)
+        campaign.add_argument(
+            "--seeds", type=_positive_int, default=seeds,
+            help=f"number of seeds to sweep [{seeds}]",
+        )
+        campaign.add_argument(
+            "--start-seed", type=int, default=0, help="first seed of the sweep [0]"
+        )
+        for names, kwargs in flags:
+            campaign.add_argument(*names, **kwargs)
+        campaign.add_argument(
+            "--out", default=None, metavar="DIR",
+            help="directory for violation trace artifacts (none written without it)",
+        )
 
     exp = commands.add_parser(
         "exp",
@@ -803,276 +701,49 @@ def _experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sim(args: argparse.Namespace) -> int:
-    from ..sim.campaign import SIM_BINDINGS, run_campaign
-
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    overrides: dict[str, str] = {}
-    for pair in args.property:
-        key, separator, value = pair.partition("=")
-        if not separator:
-            raise SystemExit(f"bad -p argument {pair!r}: expected KEY=VALUE")
-        overrides[key.strip()] = value.strip()
-    bindings = tuple(dict.fromkeys(args.db)) if args.db else SIM_BINDINGS
-    schedules = tuple(dict.fromkeys(args.schedule)) if args.schedule else ("baseline",)
-    seeds = range(args.start_seed, args.start_seed + args.seeds)
-
-    result = run_campaign(
-        seeds,
-        bindings=bindings,
-        schedules=schedules,
-        properties=overrides or None,
-        out_dir=args.out,
-        trace=not args.no_trace,
-        on_result=lambda run: print(run.summary_line(), file=sys.stderr),
-    )
-    print(result.summary())
-    for artifact in result.artifacts:
-        print(f"violation trace: {artifact}")
-    # Raw-binding violations are the campaign's *findings* (expected: that
-    # path has no transactions to protect it).  A transactional-binding
-    # violation is a consistency bug and fails the command.
-    txn_violations = [run for run in result.by_binding("txn") if run.violation]
-    if txn_violations:
-        seeds_hit = ", ".join(str(run.seed) for run in txn_violations)
-        print(
-            f"error: transactional binding violated on seed(s) {seeds_hit}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+#: Parsed arguments every campaign verb shares; the rest are sweep options.
+_SWEEP_ARGS = ("command", "seeds", "start_seed", "out", "list")
 
 
-def _synth(args: argparse.Namespace) -> int:
-    from ..synth import SCENARIOS, load_synth_spec, run_synth_campaign, scenario_names
+def _campaign(args: argparse.Namespace) -> int:
+    """The one campaign handler: sweep, summarise, apply the exit rule.
 
-    if args.list:
+    Exit 1 iff some run is both a violation and gated (the scenario's
+    rule, see :mod:`repro.campaign`); ungated violations — the raw
+    binding's leaks — are the campaign's findings, reported with traces.
+    """
+    from ..campaign import SCENARIOS
+
+    if getattr(args, "list", False):
+        from ..synth import SCENARIOS as SYNTH_SPECS
+        from ..synth import scenario_names
+
         for name in scenario_names():
-            print(f"{name:<18} {SCENARIOS[name].description}")
+            print(f"{name:<18} {SYNTH_SPECS[name].description}")
         return 0
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    sources = list(args.scenario or []) + list(args.spec or [])
-    if not sources:
-        sources = ["steady"]
-    specs = [load_synth_spec(source) for source in dict.fromkeys(sources)]
-    if args.duration is not None:
-        specs = [spec.with_overrides(duration_s=args.duration) for spec in specs]
-    bindings = tuple(dict.fromkeys(args.db)) if args.db else None
-    seeds = range(args.start_seed, args.start_seed + args.seeds)
-
-    result = run_synth_campaign(
-        specs,
-        seeds,
-        bindings=bindings,
+    options = {}
+    for key, value in vars(args).items():
+        if key in _SWEEP_ARGS or value is None:
+            continue
+        if key == "properties":
+            value = dict(value) or None
+        elif isinstance(value, list):
+            value = tuple(dict.fromkeys(value))
+        options[key] = value
+    result = SCENARIOS[args.command].sweep(
+        range(args.start_seed, args.start_seed + args.seeds),
         out_dir=args.out,
         on_result=lambda run: print(run.summary_line(), file=sys.stderr),
+        **options,
     )
     print(result.summary())
     for artifact in result.artifacts:
         print(f"violation trace: {artifact}")
-    # Unlike ``sim``, every synthesis assertion is expected to hold on
-    # both bindings (the engine is serial, so even raw stays consistent):
-    # any violation fails the command.
-    if result.violations:
-        for run in result.violations:
-            for outcome in run.failed_assertions():
-                print(
-                    f"error: {run.scenario}/{run.binding} seed {run.seed}: "
-                    f"{outcome.name}: {outcome.detail}",
-                    file=sys.stderr,
-                )
-        return 1
-    return 0
-
-
-def _crash(args: argparse.Namespace) -> int:
-    from ..recovery.campaign import run_crash_campaign
-
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    overrides: dict[str, str] = {}
-    for pair in args.property:
-        key, separator, value = pair.partition("=")
-        if not separator:
-            raise SystemExit(f"bad -p argument {pair!r}: expected KEY=VALUE")
-        overrides[key.strip()] = value.strip()
-    bindings = tuple(dict.fromkeys(args.db)) if args.db else ("raw", "txn")
-    schedules = (
-        tuple(dict.fromkeys(args.schedule))
-        if args.schedule
-        else ("prewrite", "primary-commit", "mid-secondary", "worker-kill")
-    )
-    seeds = range(args.start_seed, args.start_seed + args.seeds)
-
-    result = run_crash_campaign(
-        seeds,
-        bindings=bindings,
-        schedules=schedules,
-        properties=overrides or None,
-        out_dir=args.out,
-        trace=not args.no_trace,
-        on_result=lambda run: print(run.summary_line(), file=sys.stderr),
-    )
-    print(result.summary())
-    for artifact in result.artifacts:
-        print(f"violation trace: {artifact}")
-    # The raw binding leaking money when a client dies mid-transfer is the
-    # campaign's expected baseline.  A *transactional* binding failing
-    # post-recovery validation means the scavenger broke its promise — that
-    # fails the command.
-    txn_violations = result.transactional_violations
-    if txn_violations:
-        seeds_hit = ", ".join(
-            f"{run.binding}/{run.schedule}/{run.seed}" for run in txn_violations
-        )
-        print(
-            f"error: post-recovery violation on {seeds_hit}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cluster(args: argparse.Namespace) -> int:
-    from ..cluster.campaign import run_cluster_campaign
-
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    overrides: dict[str, str] = {}
-    for pair in args.property:
-        key, separator, value = pair.partition("=")
-        if not separator:
-            raise SystemExit(f"bad -p argument {pair!r}: expected KEY=VALUE")
-        overrides[key.strip()] = value.strip()
-    bindings = tuple(dict.fromkeys(args.db)) if args.db else ("raw", "txn")
-    shard_counts = tuple(dict.fromkeys(args.shards)) if args.shards else (4,)
-    if any(count < 1 for count in shard_counts):
-        raise SystemExit(f"--shards must be >= 1, got {shard_counts}")
-    seeds = range(args.start_seed, args.start_seed + args.seeds)
-
-    result = run_cluster_campaign(
-        seeds,
-        bindings=bindings,
-        shard_counts=shard_counts,
-        properties=overrides or None,
-        kill=not args.no_kill,
-        out_dir=args.out,
-        on_result=lambda run: print(run.summary_line(), file=sys.stderr),
-    )
-    print(result.summary())
-    for artifact in result.artifacts:
-        print(f"violation artifact: {artifact}")
-    # Same exit-code rule as `ycsbt crash`: the raw binding leaking money
-    # across a dead shard is the expected baseline; a transactional
-    # post-recovery violation means 2PC recovery broke its promise.
-    txn_violations = result.transactional_violations
-    if txn_violations:
-        seeds_hit = ", ".join(
-            f"{run.binding}/shards{run.shard_count}/{run.seed}"
-            for run in txn_violations
-        )
-        print(
-            f"error: post-recovery violation on {seeds_hit}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _replicated_cluster(args: argparse.Namespace) -> int:
-    from ..cluster.replicated_campaign import run_replicated_campaign
-
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    if args.followers < 1:
-        raise SystemExit(f"--followers must be >= 1, got {args.followers}")
-    overrides: dict[str, str] = {}
-    for pair in args.property:
-        key, separator, value = pair.partition("=")
-        if not separator:
-            raise SystemExit(f"bad -p argument {pair!r}: expected KEY=VALUE")
-        overrides[key.strip()] = value.strip()
-    bindings = tuple(dict.fromkeys(args.db)) if args.db else ("raw", "txn")
-    shard_counts = tuple(dict.fromkeys(args.shards)) if args.shards else (2,)
-    if any(count < 1 for count in shard_counts):
-        raise SystemExit(f"--shards must be >= 1, got {shard_counts}")
-    seeds = range(args.start_seed, args.start_seed + args.seeds)
-
-    result = run_replicated_campaign(
-        seeds,
-        bindings=bindings,
-        shard_counts=shard_counts,
-        follower_count=args.followers,
-        level=args.level,
-        properties=overrides or None,
-        kill=not args.no_kill,
-        out_dir=args.out,
-        on_result=lambda run: print(run.summary_line(), file=sys.stderr),
-    )
-    print(result.summary())
-    for artifact in result.artifacts:
-        print(f"violation artifact: {artifact}")
-    # Same exit-code rule as `ycsbt cluster`: the raw binding leaking
-    # money across a leaderless shard is the expected baseline; a
-    # transactional post-recovery violation means 2PC + failover broke
-    # its promise.
-    txn_violations = result.transactional_violations
-    if txn_violations:
-        seeds_hit = ", ".join(
-            f"{run.binding}/shards{run.shard_count}/{run.seed}"
-            for run in txn_violations
-        )
-        print(
-            f"error: post-recovery violation on {seeds_hit}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _replication(args: argparse.Namespace) -> int:
-    from ..replication.campaign import REPLICATION_LEVELS, run_replication_campaign
-
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    if args.followers < 1:
-        raise SystemExit(f"--followers must be >= 1, got {args.followers}")
-    overrides: dict[str, str] = {}
-    for pair in args.property:
-        key, separator, value = pair.partition("=")
-        if not separator:
-            raise SystemExit(f"bad -p argument {pair!r}: expected KEY=VALUE")
-        overrides[key.strip()] = value.strip()
-    levels = tuple(dict.fromkeys(args.level)) if args.level else REPLICATION_LEVELS
-    seeds = range(args.start_seed, args.start_seed + args.seeds)
-
-    result = run_replication_campaign(
-        seeds,
-        levels=levels,
-        follower_count=args.followers,
-        properties=overrides or None,
-        kill=not args.no_kill,
-        out_dir=args.out,
-        on_result=lambda run: print(run.summary_line(), file=sys.stderr),
-    )
-    print(result.summary())
-    for artifact in result.artifacts:
-        print(f"violation artifact: {artifact}")
-    # Same exit-code shape as `ycsbt cluster`: bounded staleness leaking
-    # money through legally stale read-modify-writes is the expected
-    # baseline; a violation at strong or read_your_writes (or a broken
-    # log-prefix invariant at any level) fails the command.
-    gated = result.gated_violations
-    if gated:
-        seeds_hit = ", ".join(f"{run.level}/{run.seed}" for run in gated)
-        print(
-            f"error: post-failover violation on {seeds_hit}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    for run in result.gated_violations:
+        print(f"error: {args.command} violation on {run.label}", file=sys.stderr)
+        for error in run.errors:
+            print(f"  {error}", file=sys.stderr)
+    return result.exit_code
 
 
 def _exp(args: argparse.Namespace) -> int:
@@ -1174,18 +845,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _coordinate(args)
     if args.command == "experiment":
         return _experiment(args)
-    if args.command == "sim":
-        return _sim(args)
-    if args.command == "synth":
-        return _synth(args)
-    if args.command == "crash":
-        return _crash(args)
-    if args.command == "cluster":
-        return _cluster(args)
-    if args.command == "replicated-cluster":
-        return _replicated_cluster(args)
-    if args.command == "replication":
-        return _replication(args)
+    if args.command in _campaign_table():
+        return _campaign(args)
     if args.command == "exp":
         return _exp(args)
     raise AssertionError(f"unhandled command {args.command!r}")

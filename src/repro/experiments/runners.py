@@ -59,7 +59,7 @@ CEW_PHASES = ("load", "run")
 
 
 def _validate_cew_params(params: Mapping[str, object]) -> None:
-    from ..sim.campaign import FAULT_SCHEDULES, SIM_BINDINGS
+    from ..campaign import FAULT_SCHEDULES, SIM_BINDINGS
 
     binding = params.get("binding", "txn")
     if binding not in SIM_BINDINGS:
@@ -138,14 +138,14 @@ def run_cew_cell(
 ) -> ExperimentResult:
     """One generic CEW cell in deterministic virtual time.
 
-    Built on the simulation campaign's single-run machinery: load phase
-    fault-free, the named fault schedule switched on for the measured run
-    phase, every sleep on a fresh :class:`SimClock`.  ``thread_counts``
-    turns the cell into a sweep (one point per thread count, each on its
-    own clock and store); without it the cell is a single point at the
-    configured ``threadcount``.
+    Built on the sim campaign's single run (:data:`repro.campaign.SIM`):
+    load phase fault-free, the named fault schedule switched on for the
+    measured run phase, every sleep on a fresh :class:`SimClock`.
+    ``thread_counts`` turns the cell into a sweep (one point per thread
+    count, each on its own clock and store); without it the cell is a
+    single point at the configured ``threadcount``.
     """
-    from ..sim.campaign import run_sim
+    from ..campaign import SIM
 
     _validate_cew_params(
         {
@@ -186,7 +186,7 @@ def run_cew_cell(
         point_overrides = dict(overrides)
         if threads is not None:
             point_overrides["threadcount"] = str(threads)
-        run = run_sim(
+        run = SIM.run(
             binding=binding,
             properties=point_overrides,
             seed=seed,
@@ -200,7 +200,7 @@ def run_cew_cell(
             )
         measured_run = phases != ("load",)
         operations = run.operations if measured_run else run.load_operations
-        virtual_s = run.run_time_virtual_s
+        virtual_s = run.details["virtual_run_time_s"]
         x = float(threads) if threads is not None else float(
             int(run.properties.get("threadcount", "1"))
         )
@@ -212,7 +212,7 @@ def run_cew_cell(
                 operations=operations,
                 failed_operations=run.failed_operations,
                 extra={
-                    "events_processed": run.events_processed,
+                    "events_processed": run.details["events_processed"],
                     "virtual_run_time_s": virtual_s,
                 },
             )
@@ -297,7 +297,7 @@ def run_shard_scaling(
 
     from ..bindings.kv import KVStoreDB
     from ..bindings.txn import TxnDB
-    from ..cluster.campaign import DEFAULT_CLUSTER_PROPERTIES
+    from ..campaign import DEFAULT_CLUSTER_PROPERTIES
     from ..cluster.cluster import ShardCluster
     from ..core.client import Client
     from ..core.closed_economy import ClosedEconomyWorkload

@@ -12,7 +12,7 @@ clients without any code path ever exercising one.  This package supplies
   optional background thread) that finds expired locks and resolves each
   stranded transaction by its decided state: roll-forward if committed,
   roll-back otherwise;
-* :mod:`repro.recovery.campaign` — the ``ycsbt crash`` seed sweep: crash a
+* :data:`repro.campaign.CRASH` — the ``ycsbt crash`` seed sweep: crash a
   client mid-protocol in virtual time, scavenge, and re-validate the
   Closed Economy invariants, emitting replayable traces for violations.
 """

@@ -6,11 +6,14 @@ See ``docs/SIMULATION.md``.  The package splits into:
   and the ambient-clock context every timing module defaults to.
 - :mod:`repro.sim.scheduler` — the event-heap :class:`Scheduler`,
   :class:`SimClock`, and :class:`VirtualResource`.
-- :mod:`repro.sim.campaign` — seed-sweep campaigns (``ycsbt sim``),
-  operation tracing, and violation-trace artifacts.  Imported lazily so
-  the clock primitives stay dependency-free for the core modules that
-  import them.
+- :mod:`repro.sim.trace` — operation interleavings for violation traces.
+
+The seed-sweep campaigns (``ycsbt sim`` and its siblings) live in
+:mod:`repro.campaign`; the campaign names below resolve there lazily, so
+the clock primitives stay dependency-free for the core modules.
 """
+
+from operator import attrgetter
 
 from .clock import (
     WALL_CLOCK,
@@ -53,19 +56,20 @@ __all__ = [
     "DEFAULT_SIM_PROPERTIES",
 ]
 
+#: Campaign names exported here -> their home in :mod:`repro.campaign`.
 _LAZY = {
-    "SimRunResult",
-    "CampaignResult",
-    "run_sim",
-    "run_campaign",
-    "write_violation_trace",
-    "DEFAULT_SIM_PROPERTIES",
+    "SimRunResult": "CampaignRun",
+    "CampaignResult": "CampaignResult",
+    "run_sim": "SIM.run",
+    "run_campaign": "SIM.sweep",
+    "write_violation_trace": "write_trace",
+    "DEFAULT_SIM_PROPERTIES": "DEFAULT_SIM_PROPERTIES",
 }
 
 
 def __getattr__(name):
     if name in _LAZY:
-        from . import campaign
+        from .. import campaign
 
-        return getattr(campaign, name)
+        return attrgetter(_LAZY[name])(campaign)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -39,7 +39,6 @@ from ..generators import (
 from ..generators.hashing import fnv1_64
 from ..kvstore.ratelimit import TokenBucket
 from ..measurements.registry import Measurements, StopWatch
-from ..sim.campaign import _build_binding
 from ..sim.clock import use_clock
 from ..sim.scheduler import SimClock
 from .spec import SynthSpec, TenantSpec
@@ -181,19 +180,6 @@ class SynthRunResult:
     def violation(self) -> bool:
         """True when any deterministic assertion failed: replay the seed."""
         return not self.passed
-
-    def failed_assertions(self) -> list[AssertionOutcome]:
-        return [outcome for outcome in self.assertions if not outcome.passed]
-
-    def summary_line(self) -> str:
-        flag = "VIOLATION" if self.violation else "ok"
-        return (
-            f"{self.binding:<4} seed={self.seed:<6} scenario={self.scenario:<16} "
-            f"ops={self.operations} failed={self.failed_operations} "
-            f"throttled={self.throttled_operations} gamma={self.gamma:.6f} "
-            f"users={self.distinct_users} (peak resident {self.peak_user_states}) "
-            f"vtime={self.virtual_time_s:.0f}s wall={self.wall_time_s:.1f}s {flag}"
-        )
 
 
 class _TenantRuntime:
@@ -485,12 +471,14 @@ def run_synth(
     seed: int = 0,
 ) -> SynthRunResult:
     """Compile and run one synthesized campaign seed in virtual time."""
+    from ..campaign import cew_stack  # lazy: repro.campaign imports this module
+
     binding = binding or spec.binding
     props = _synth_properties(spec, seed)
     clock = SimClock()
     wall_started = time.perf_counter()
     with use_clock(clock):
-        db_factory, _fault_layer = _build_binding(binding, props, seed)
+        db_factory, _manager, _fault_layer = cew_stack(binding, props, f"sim{seed}")
         workload = SynthCewWorkload()
         measurements = Measurements.from_properties(props)
         workload.init(props, measurements)

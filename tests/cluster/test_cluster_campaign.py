@@ -4,13 +4,7 @@ import json
 
 import pytest
 
-from repro.cluster.campaign import (
-    CLUSTER_BINDINGS,
-    ClusterRunResult,
-    run_cluster,
-    run_cluster_campaign,
-    write_cluster_violation_trace,
-)
+from repro.campaign import CLUSTER, CLUSTER_BINDINGS, CampaignRun, write_trace
 
 #: Small enough to keep one cycle around a second, big enough that the
 #: degraded half actually commits cross-shard transactions.
@@ -24,40 +18,40 @@ FAST_PROPERTIES = {
 
 def test_unknown_binding_rejected():
     with pytest.raises(ValueError, match="unknown cluster binding"):
-        run_cluster(binding="mongodb")
+        CLUSTER.run(binding="mongodb")
 
 
 def test_txn_survives_a_shard_kill():
     """The tentpole promise: kill a shard mid-campaign, recover, and the
     2PC binding still validates with gamma 0 and no residual locks."""
-    result = run_cluster(
+    result = CLUSTER.run(
         binding="txn", shard_count=2, properties=FAST_PROPERTIES, seed=0
     )
-    assert result.killed_shard is not None
-    assert result.degraded_operations > 0
-    assert result.transactional
+    assert result.details["killed_shard"] is not None
+    assert result.details["degraded_operations"] > 0
+    assert result.gated
     assert not result.violation, result.summary_line()
-    assert result.post_gamma == 0.0
-    assert result.residual_locks == 0
+    assert result.gamma == 0.0
+    assert result.details["post_recovery"]["residual_locks"] == 0
     # The kill was real: some operations failed against the dead shard.
     assert result.failed_operations > 0
     assert "VIOLATION" not in result.summary_line()
 
 
 def test_fault_free_run_skips_the_kill():
-    result = run_cluster(
+    result = CLUSTER.run(
         binding="txn", shard_count=2, properties=FAST_PROPERTIES, seed=1, kill=False
     )
-    assert result.killed_shard is None
+    assert result.details["killed_shard"] is None
     assert not result.violation, result.summary_line()
-    assert result.post_gamma == 0.0
+    assert result.gamma == 0.0
 
 
 def test_violation_trace_is_replayable_json(tmp_path):
-    result = run_cluster(
+    result = CLUSTER.run(
         binding="txn", shard_count=2, properties=FAST_PROPERTIES, seed=2
     )
-    path = write_cluster_violation_trace(result, tmp_path)
+    path = write_trace(result, tmp_path)
     trace = json.loads(path.read_text(encoding="utf-8"))
     assert trace["binding"] == "txn"
     assert trace["shard_count"] == 2
@@ -74,7 +68,7 @@ def test_raw_binding_leaks_money_across_a_dead_shard():
     seed is not guaranteed to leak, so sweep a few and require at least
     one raw violation — that asymmetry against the txn runs above is the
     whole point of the campaign."""
-    campaign = run_cluster_campaign(
+    campaign = CLUSTER.sweep(
         seeds=range(3),
         bindings=("raw",),
         shard_counts=(2,),
@@ -82,13 +76,13 @@ def test_raw_binding_leaks_money_across_a_dead_shard():
     )
     assert len(campaign.runs) == 3
     assert campaign.violations, campaign.summary()
-    assert campaign.transactional_violations == []
+    assert campaign.gated_violations == []
 
 
 @pytest.mark.slow
 def test_campaign_sweeps_and_writes_artifacts(tmp_path):
-    seen: list[ClusterRunResult] = []
-    campaign = run_cluster_campaign(
+    seen: list[CampaignRun] = []
+    campaign = CLUSTER.sweep(
         seeds=[0],
         bindings=CLUSTER_BINDINGS,
         shard_counts=(2, 3),
@@ -97,8 +91,8 @@ def test_campaign_sweeps_and_writes_artifacts(tmp_path):
         on_result=seen.append,
     )
     assert len(campaign.runs) == len(seen) == 4
-    assert campaign.transactional_violations == []
-    assert {run.shard_count for run in campaign.runs} == {2, 3}
+    assert campaign.gated_violations == []
+    assert {run.details["shard_count"] for run in campaign.runs} == {2, 3}
     for artifact in campaign.artifacts:
         assert artifact.exists()
     assert "txn" in campaign.summary()

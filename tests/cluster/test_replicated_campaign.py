@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.cluster.replicated_campaign import (
-    ReplicatedRunResult,
-    run_replicated_campaign,
-    run_replicated_cluster,
-    write_replicated_violation_trace,
-)
+from repro.campaign import REPLICATED_CLUSTER, CampaignRun, write_trace
 
 #: Small enough to keep one cycle around a second, big enough that the
 #: degraded half actually commits cross-shard transactions.
@@ -23,7 +18,7 @@ FAST_PROPERTIES = {
 
 def test_unknown_binding_rejected():
     with pytest.raises(ValueError, match="unknown cluster binding"):
-        run_replicated_cluster(binding="mongodb")
+        REPLICATED_CLUSTER.run(binding="mongodb")
 
 
 def test_txn_survives_a_leader_kill():
@@ -32,42 +27,44 @@ def test_txn_survives_a_leader_kill():
     by log catch-up, replay the coordinator WAL against the *new* leader
     — and the 2PC binding still validates with gamma 0, no residual
     locks."""
-    result = run_replicated_cluster(
+    result = REPLICATED_CLUSTER.run(
         binding="txn", shard_count=2, properties=FAST_PROPERTIES, seed=0
     )
-    assert result.killed_shard is not None
-    assert result.killed_member is not None
-    assert result.degraded_operations > 0
-    assert result.transactional
+    assert result.details["killed_shard"] is not None
+    assert result.details["killed_member"] is not None
+    assert result.details["degraded_operations"] > 0
+    assert result.gated
     assert not result.violation, result.summary_line()
-    assert result.post_gamma == 0.0
-    assert result.residual_locks == 0
+    assert result.gamma == 0.0
+    assert result.details["post_recovery"]["residual_locks"] == 0
     # The failover was real: a different member now leads at a new term.
-    assert result.failover["term"] >= 2
-    assert result.failover["leader"] != result.killed_member
+    assert result.details["failover"]["term"] >= 2
+    assert (
+        result.details["failover"]["leader"] != result.details["killed_member"]
+    )
     # Durable follower logs make the rejoin a catch-up, not a resync.
-    assert result.rejoin["mode"] == "catch-up"
+    assert result.details["rejoin"]["mode"] == "catch-up"
     # The kill was real: some operations failed against the dead leader.
     assert result.failed_operations > 0
     assert "VIOLATION" not in result.summary_line()
 
 
 def test_fault_free_run_skips_the_kill():
-    result = run_replicated_cluster(
+    result = REPLICATED_CLUSTER.run(
         binding="txn", shard_count=2, properties=FAST_PROPERTIES, seed=1, kill=False
     )
-    assert result.killed_shard is None
-    assert result.killed_member is None
-    assert result.failover == {}
+    assert result.details["killed_shard"] is None
+    assert result.details["killed_member"] is None
+    assert result.details["failover"] == {}
     assert not result.violation, result.summary_line()
-    assert result.post_gamma == 0.0
+    assert result.gamma == 0.0
 
 
 def test_violation_trace_is_replayable_json(tmp_path):
-    result = run_replicated_cluster(
+    result = REPLICATED_CLUSTER.run(
         binding="txn", shard_count=2, properties=FAST_PROPERTIES, seed=2
     )
-    path = write_replicated_violation_trace(result, tmp_path)
+    path = write_trace(result, tmp_path)
     trace = json.loads(path.read_text(encoding="utf-8"))
     assert trace["kind"] == "ycsbt-replicated-cluster-violation"
     assert trace["binding"] == "txn"
@@ -87,7 +84,7 @@ def test_raw_binding_leaks_money_across_a_dead_leader():
     seed is not guaranteed to leak, so sweep a few and require at least
     one raw violation — that asymmetry against the txn runs above is the
     whole point of the campaign."""
-    campaign = run_replicated_campaign(
+    campaign = REPLICATED_CLUSTER.sweep(
         seeds=range(3),
         bindings=("raw",),
         shard_counts=(2,),
@@ -95,13 +92,13 @@ def test_raw_binding_leaks_money_across_a_dead_leader():
     )
     assert len(campaign.runs) == 3
     assert campaign.violations, campaign.summary()
-    assert campaign.transactional_violations == []
+    assert campaign.gated_violations == []
 
 
 @pytest.mark.slow
 def test_campaign_sweeps_and_writes_artifacts(tmp_path):
-    seen: list[ReplicatedRunResult] = []
-    campaign = run_replicated_campaign(
+    seen: list[CampaignRun] = []
+    campaign = REPLICATED_CLUSTER.sweep(
         seeds=[0],
         bindings=("raw", "txn"),
         shard_counts=(2,),
@@ -110,7 +107,7 @@ def test_campaign_sweeps_and_writes_artifacts(tmp_path):
         on_result=seen.append,
     )
     assert len(campaign.runs) == len(seen) == 2
-    assert campaign.transactional_violations == []
+    assert campaign.gated_violations == []
     for artifact in campaign.artifacts:
         assert artifact.exists()
     assert "txn" in campaign.summary()

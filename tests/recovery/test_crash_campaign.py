@@ -10,40 +10,39 @@ import json
 
 import pytest
 
-from repro.recovery.campaign import (
+from repro.campaign import (
+    CRASH,
     CRASH_SCHEDULES,
-    CrashRunResult,
-    run_crash,
-    run_crash_campaign,
+    CampaignRun,
     seeded_schedule,
-    write_crash_violation_trace,
+    write_trace,
 )
 
 
-def _run(binding="txn", seed=0, schedule="multi", **kwargs) -> CrashRunResult:
+def _run(binding="txn", seed=0, schedule="multi", **kwargs) -> CampaignRun:
     kwargs.setdefault("trace", False)
-    return run_crash(binding=binding, seed=seed, schedule=schedule, **kwargs)
+    return CRASH.run(binding=binding, seed=seed, schedule=schedule, **kwargs)
 
 
 class TestRecoveryVerdict:
     @pytest.mark.parametrize("schedule", sorted(CRASH_SCHEDULES))
     def test_txn_recovers_from_every_schedule(self, schedule):
         result = _run(binding="txn", seed=1, schedule=schedule)
-        assert result.fired, "the schedule never crashed anyone"
-        assert result.crashes >= 1
-        assert result.post_passed
-        assert result.post_gamma == 0.0
-        assert result.residual_locks == 0
+        assert result.details["crashpoints_fired"], "the schedule never crashed anyone"
+        assert result.details["crashes"] >= 1
+        assert result.passed
+        assert result.gamma == 0.0
+        assert result.details["post_recovery"]["residual_locks"] == 0
         assert not result.violation
 
     def test_percolator_recovers(self):
         result = _run(binding="pct", seed=1, schedule="primary-commit")
-        assert result.fired
+        assert result.details["crashpoints_fired"]
         assert not result.violation
 
     def test_seeded_schedule_runs(self):
         result = _run(binding="txn", seed=5, schedule="seeded")
-        assert result.schedule == "seeded"
+        assert result.details["schedule"] == "seeded"
         assert not result.violation
 
     def test_raw_binding_can_leak_money(self):
@@ -57,7 +56,7 @@ class TestRecoveryVerdict:
             _run(binding="raw", seed=seed, schedule="worker-kill")
             for seed in range(3)
         ]
-        assert any(r.crashes for r in results)
+        assert any(r.details["crashes"] for r in results)
         assert any(r.violation for r in results)
 
 
@@ -65,7 +64,7 @@ class TestDeterminism:
     def test_same_seed_same_bytes(self):
         first = _run(binding="txn", seed=11, schedule="multi")
         second = _run(binding="txn", seed=11, schedule="multi")
-        assert first.fired == second.fired
+        assert first.details["crashpoints_fired"] == second.details["crashpoints_fired"]
         assert first.report_jsonl == second.report_jsonl
         assert first.counters == second.counters
 
@@ -80,13 +79,15 @@ class TestDeterminism:
 class TestScavengerEvidence:
     def test_scavenger_counters_reach_the_report(self):
         result = _run(binding="txn", seed=1, schedule="multi")
-        assert result.counters.get("CRASHPOINTS-FIRED") == len(result.fired)
+        assert result.counters.get("CRASHPOINTS-FIRED") == len(
+            result.details["crashpoints_fired"]
+        )
         assert "SCAVENGER-PASSES" in result.counters
 
 
 class TestCampaign:
     def test_campaign_sweeps_and_writes_artifacts(self, tmp_path):
-        campaign = run_crash_campaign(
+        campaign = CRASH.sweep(
             seeds=range(2),
             bindings=("raw", "txn"),
             schedules=("worker-kill",),
@@ -95,21 +96,21 @@ class TestCampaign:
         )
         assert len(campaign.runs) == 4
         # Transactional recovery held; any violations are raw-binding ones.
-        assert campaign.transactional_violations == []
+        assert campaign.gated_violations == []
         for run in campaign.violations:
-            assert run.binding == "raw"
+            assert run.details["binding"] == "raw"
         assert len(campaign.artifacts) == len(campaign.violations)
         summary = campaign.summary()
         assert "txn:" in summary and "raw:" in summary
 
     def test_violation_trace_is_replayable_json(self, tmp_path):
         result = _run(binding="raw", seed=0, schedule="worker-kill")
-        path = write_crash_violation_trace(result, tmp_path)
+        path = write_trace(result, tmp_path)
         payload = json.loads(path.read_text())
         assert payload["kind"] == "ycsbt-crash-violation"
         assert payload["seed"] == 0
         assert "ycsbt crash" in payload["replay"]["command"]
-        assert payload["crash_schedule"] == result.crash_schedule
+        assert payload["crash_schedule"] == result.details["crash_schedule"]
 
 
 class TestCli:

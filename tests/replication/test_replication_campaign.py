@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.replication.campaign import (
-    ReplicationRunResult,
-    run_replication,
-    run_replication_campaign,
-    write_replication_violation_trace,
-)
+from repro.campaign import REPLICATION, CampaignRun, write_trace
 
 #: Small enough to keep one cycle around a second, big enough that the
 #: degraded half actually runs through the promoted leader.
@@ -21,49 +16,50 @@ FAST_PROPERTIES = {
 
 def test_unknown_level_rejected():
     with pytest.raises(ValueError, match="unknown consistency level"):
-        run_replication(level="eventual")
+        REPLICATION.run(level="eventual")
 
 
 def test_strong_survives_a_leader_kill():
     """The tentpole promise over the wire: kill the leader mid-campaign,
     fail over on the lease, and the economy still balances."""
-    result = run_replication(level="strong", properties=FAST_PROPERTIES, seed=0)
-    assert result.killed_leader == "node0"
-    assert result.new_leader in ("node1", "node2")
-    assert result.term == 2
-    assert result.lost_records == 0  # clean drain of the durable log
-    assert result.degraded_operations > 0
-    assert result.rejoin_mode in ("catch-up", "resync")
-    assert result.logs_converged
+    result = REPLICATION.run(level="strong", properties=FAST_PROPERTIES, seed=0)
+    assert result.details["failover"]["killed_leader"] == "node0"
+    assert result.details["failover"]["new_leader"] in ("node1", "node2")
+    assert result.details["failover"]["term"] == 2
+    # clean drain of the durable log
+    assert result.details["failover"]["lost_records"] == 0
+    assert result.details["degraded_operations"] > 0
+    assert result.details["failover"]["rejoin_mode"] in ("catch-up", "resync")
+    assert result.details["post_failover"]["logs_converged"]
     assert result.gated
     assert not result.violation, result.summary_line()
-    assert result.post_gamma == 0.0
+    assert result.gamma == 0.0
     assert "VIOLATION" not in result.summary_line()
 
 
 def test_read_your_writes_balances_too():
-    result = run_replication(
+    result = REPLICATION.run(
         level="read_your_writes", properties=FAST_PROPERTIES, seed=1
     )
     assert not result.violation, result.summary_line()
-    assert result.post_gamma == 0.0
+    assert result.gamma == 0.0
     # The relaxed level actually used its followers.
     assert result.counters.get("REPL-FOLLOWER-READS", 0) > 0
 
 
 def test_fault_free_run_skips_the_kill():
-    result = run_replication(
+    result = REPLICATION.run(
         level="strong", properties=FAST_PROPERTIES, seed=2, kill=False
     )
-    assert result.killed_leader is None
-    assert result.term == 1
+    assert result.details["failover"]["killed_leader"] is None
+    assert result.details["failover"]["term"] == 1
     assert not result.violation, result.summary_line()
-    assert result.post_gamma == 0.0
+    assert result.gamma == 0.0
 
 
 def test_violation_trace_is_replayable_json(tmp_path):
-    result = run_replication(level="strong", properties=FAST_PROPERTIES, seed=3)
-    path = write_replication_violation_trace(result, tmp_path)
+    result = REPLICATION.run(level="strong", properties=FAST_PROPERTIES, seed=3)
+    path = write_trace(result, tmp_path)
     trace = json.loads(path.read_text(encoding="utf-8"))
     assert trace["level"] == "strong"
     assert trace["seed"] == 3
@@ -75,27 +71,39 @@ def test_violation_trace_is_replayable_json(tmp_path):
 
 
 @pytest.mark.slow
-def test_bounded_staleness_is_the_expected_leaky_baseline():
+def test_bounded_staleness_is_the_expected_leaky_baseline(tmp_path):
     """The control: read-modify-writes over legally stale follower reads
     lose money, and the campaign reports rather than gates it.  One seed
-    is not guaranteed to leak, so sweep a few and require at least one."""
-    campaign = run_replication_campaign(
+    is not guaranteed to leak, so sweep a few and require at least one.
+    Every leak is still a violation with a trace; only the exit rule
+    forgives it."""
+    campaign = REPLICATION.sweep(
         seeds=range(3),
         levels=("bounded_staleness",),
         properties=FAST_PROPERTIES,
+        out_dir=tmp_path,
     )
     assert len(campaign.runs) == 3
-    leaked = [run for run in campaign.runs if run.post_gamma > 0.0]
+    leaked = [run for run in campaign.runs if run.gamma > 0.0]
     assert leaked, campaign.summary()
     assert campaign.gated_violations == []
+    assert campaign.exit_code == 0
+    written = sorted(path.name for path in campaign.artifacts)
+    assert written == sorted(
+        f"replication-violation-bounded_staleness-seed{run.seed}.json"
+        for run in leaked
+    )
+    assert all(path.exists() for path in campaign.artifacts)
     # Whatever it leaked, the protocol itself converged everywhere.
-    assert all(run.logs_converged for run in campaign.runs)
+    assert all(
+        run.details["post_failover"]["logs_converged"] for run in campaign.runs
+    )
 
 
 @pytest.mark.slow
 def test_campaign_sweeps_and_writes_artifacts(tmp_path):
-    seen: list[ReplicationRunResult] = []
-    campaign = run_replication_campaign(
+    seen: list[CampaignRun] = []
+    campaign = REPLICATION.sweep(
         seeds=[0],
         levels=("strong", "read_your_writes"),
         properties=FAST_PROPERTIES,

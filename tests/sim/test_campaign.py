@@ -12,50 +12,45 @@ The two headline properties of the simulation subsystem:
 
 import json
 
-from repro.sim.campaign import (
-    FAULT_SCHEDULES,
-    run_campaign,
-    run_sim,
-    write_violation_trace,
-)
+from repro.campaign import FAULT_SCHEDULES, SIM, write_trace
 
 
 class TestDeterminism:
     def test_same_seed_is_byte_identical(self):
-        first = run_sim("raw", seed=7)
-        second = run_sim("raw", seed=7)
+        first = SIM.run("raw", seed=7)
+        second = SIM.run("raw", seed=7)
         assert first.report_jsonl == second.report_jsonl
         assert first.gamma == second.gamma
         assert first.counters == second.counters
-        assert first.events_processed == second.events_processed
+        assert first.details["events_processed"] == second.details["events_processed"]
         assert first.trace.events == second.trace.events
 
     def test_txn_same_seed_is_byte_identical(self):
-        first = run_sim("txn", seed=3)
-        second = run_sim("txn", seed=3)
+        first = SIM.run("txn", seed=3)
+        second = SIM.run("txn", seed=3)
         assert first.report_jsonl == second.report_jsonl
         assert first.trace.events == second.trace.events
 
     def test_distinct_seeds_distinct_interleavings(self):
-        first = run_sim("raw", seed=7)
-        second = run_sim("raw", seed=8)
+        first = SIM.run("raw", seed=7)
+        second = SIM.run("raw", seed=8)
         assert first.trace.events != second.trace.events
 
     def test_schedules_change_the_run(self):
-        baseline = run_sim("raw", seed=7, schedule="baseline")
-        storm = run_sim("raw", seed=7, schedule="storm")
+        baseline = SIM.run("raw", seed=7, schedule="baseline")
+        storm = SIM.run("raw", seed=7, schedule="storm")
         assert baseline.trace.events != storm.trace.events
 
 
 class TestCampaign:
     def test_twenty_seeds_raw_leaks_txn_never(self, tmp_path):
         """The acceptance sweep: >= 20 seeds, both bindings, baseline faults."""
-        campaign = run_campaign(range(20), out_dir=tmp_path)
+        campaign = SIM.sweep(range(20), out_dir=tmp_path)
 
-        raw_violations = [r for r in campaign.by_binding("raw") if r.violation]
+        raw_violations = [r for r in campaign.group("raw") if r.violation]
         assert raw_violations, "no raw-binding violation in 20 seeds"
 
-        for run in campaign.by_binding("txn"):
+        for run in campaign.group("txn"):
             assert run.gamma == 0.0, run.summary_line()
             assert run.passed, run.summary_line()
 
@@ -69,12 +64,12 @@ class TestCampaign:
             assert "--start-seed" in payload["replay"]["command"]
 
     def test_violation_artifact_replays_exactly(self, tmp_path):
-        campaign = run_campaign(range(20), bindings=("raw",), trace=True)
+        campaign = SIM.sweep(range(20), bindings=("raw",), trace=True)
         violation = next(r for r in campaign.runs if r.violation)
-        artifact = write_violation_trace(violation, tmp_path)
+        artifact = write_trace(violation, tmp_path)
         payload = json.loads(artifact.read_text())
 
-        replay = run_sim(
+        replay = SIM.run(
             payload["binding"], seed=payload["seed"], schedule=payload["schedule"]
         )
         assert replay.gamma == payload["gamma"]
@@ -82,6 +77,6 @@ class TestCampaign:
 
     def test_every_schedule_runs(self):
         for name in FAULT_SCHEDULES:
-            result = run_sim("raw", seed=1, schedule=name, trace=False)
+            result = SIM.run("raw", seed=1, schedule=name, trace=False)
             assert result.operations == 400
             assert result.wall_time_s < 5.0

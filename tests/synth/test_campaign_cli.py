@@ -5,13 +5,9 @@ import json
 
 import pytest
 
-import repro.synth.campaign as campaign_module
+import repro.campaign as campaign_module
+from repro.campaign import SYNTH, synth_run, write_trace
 from repro.core.cli import main
-from repro.synth.campaign import (
-    SynthCampaignResult,
-    run_synth_campaign,
-    write_synth_violation_trace,
-)
 from repro.synth.engine import AssertionOutcome, SynthRunResult
 from repro.synth.models import RateCurve
 from repro.synth.spec import SynthSpec, scenario_names
@@ -63,27 +59,27 @@ def fake_result(passed, scenario="steady", binding="raw", seed=9):
 class TestCampaign:
     def test_sweep_shape_and_summary(self):
         spec = tiny_spec()
-        result = run_synth_campaign([spec], seeds=[0, 1], bindings=["raw", "txn"])
+        result = SYNTH.sweep(seeds=[0, 1], scenarios=[spec], bindings=["raw", "txn"])
         assert len(result.runs) == 4
         assert not result.violations
-        assert {run.binding for run in result.runs} == {"raw", "txn"}
+        assert {run.details["binding"] for run in result.runs} == {"raw", "txn"}
         assert "tiny: 4 runs, 0 violations" in result.summary()
 
     def test_spec_objects_names_and_callbacks(self):
         seen = []
-        result = run_synth_campaign(
-            [tiny_spec()], seeds=[3], on_result=seen.append
+        result = SYNTH.sweep(
+            seeds=[3], scenarios=[tiny_spec()], on_result=seen.append
         )
         assert len(seen) == len(result.runs) == 1
         # bindings=None uses the spec's own binding.
-        assert result.runs[0].binding == "raw"
+        assert result.runs[0].details["binding"] == "raw"
 
     def test_violation_writes_artifact(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             campaign_module, "run_synth",
             lambda spec, binding=None, seed=0: fake_result(passed=False, seed=seed),
         )
-        result = run_synth_campaign([tiny_spec()], seeds=[9], out_dir=tmp_path)
+        result = SYNTH.sweep(seeds=[9], scenarios=[tiny_spec()], out_dir=tmp_path)
         assert len(result.violations) == 1
         assert len(result.artifacts) == 1
         payload = json.loads(result.artifacts[0].read_text())
@@ -93,13 +89,13 @@ class TestCampaign:
         assert payload["assertions"][0]["passed"] is False
 
     def test_no_artifact_when_passing(self, tmp_path):
-        result = run_synth_campaign([tiny_spec()], seeds=[0], out_dir=tmp_path)
+        result = SYNTH.sweep(seeds=[0], scenarios=[tiny_spec()], out_dir=tmp_path)
         assert not result.violations
         assert not result.artifacts
         assert not list(tmp_path.glob("synth-violation-*.json"))
 
     def test_trace_includes_builtin_spec(self, tmp_path):
-        path = write_synth_violation_trace(fake_result(passed=False), tmp_path)
+        path = write_trace(synth_run(fake_result(passed=False)), tmp_path)
         payload = json.loads(path.read_text())
         # "steady" is a built-in scenario, so the full spec rides along
         # for replay without access to the original process.
